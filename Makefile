@@ -119,7 +119,8 @@ telemetry-smoke:
 # over a real socket, one cold tune round-trip, then the identical
 # request again — which must be answered from the warm schedule cache —
 # and a graceful shutdown that must drain (the `wait` fails if the
-# daemon exits non-zero).
+# daemon exits non-zero).  Finally `tune --cache` must hit on the file
+# the daemon persisted: the two tools share one schedule-cache store.
 serve-smoke:
 	rm -f /tmp/mcfuser-serve-url.txt /tmp/mcfuser-serve-sched.jsonl
 	dune build bin/mcfuser_cli.exe
@@ -137,7 +138,9 @@ serve-smoke:
 	_build/default/bin/mcfuser_cli.exe submit "$$url" --shutdown && \
 	wait
 	@test -s /tmp/mcfuser-serve-sched.jsonl
-	@echo "serve-smoke: daemon + selfcheck + tune + warm cache + drain ok"
+	_build/default/bin/mcfuser_cli.exe tune G1 \
+	  --cache /tmp/mcfuser-serve-sched.jsonl | grep -q "cache hit"
+	@echo "serve-smoke: daemon + selfcheck + tune + warm cache + drain + tune --cache hit ok"
 
 # Serve-throughput smoke: two serve bench runs (each with its own
 # in-bench gates — >90% warm-cache hit rate and bit-identity against a

@@ -385,7 +385,11 @@ let phase_breakdown (o : Mcf_search.Tuner.outcome) =
 
 let tune_cmd =
   let cache_arg =
-    let doc = "Schedule-cache file: reuse a stored schedule, or tune and store." in
+    let doc =
+      "Schedule-cache file (JSONL): reuse a stored schedule, or tune and \
+       store.  The file and its keys are shared with $(b,serve \
+       --schedule-cache)."
+    in
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE" ~doc)
   in
   let reservoir_arg =
@@ -423,78 +427,83 @@ let tune_cmd =
       workload =
     with_obs obs (fun () ->
         with_setup device workload (fun spec chain ->
-            match cache with
-            | Some cache_file -> (
-              match
-                Mcf_search.Schedule_cache.tune_with_cache ~cache_file spec chain
-              with
-              | Ok (fresh, entry) ->
-                Printf.printf "%s: %s at %s (%s)\n" workload
-                  (Mcf_ir.Candidate.to_string entry.ecand)
-                  (Mcf_util.Table.fmt_time_s entry.etime_s)
-                  (if fresh = None then "cache hit" else "tuned and cached");
-                Ok ()
-              | Error Mcf_search.Tuner.No_viable_candidate ->
-                Error (`Msg "no viable candidate"))
-            | None -> (
-              let mcache =
-                Option.map
-                  (fun path ->
-                    let c = Mcf_search.Measure.cache_create () in
-                    ignore (Mcf_search.Measure.cache_load c path);
-                    (c, path))
-                  measure_cache
-              in
-              let measure =
-                if mcache = None && measure_jobs <> 1 then None
-                else
-                  Some
-                    (Mcf_search.Measure.create
-                       ?cache:(Option.map fst mcache)
-                       ~sequential:(measure_jobs = 1) spec)
-              in
-              let hits0 = Mcf_obs.Metrics.counter_value "measure.cache.hits" in
-              let miss0 =
-                Mcf_obs.Metrics.counter_value "measure.cache.misses"
-              in
-              let result = Mcf_search.Tuner.tune ?reservoir ?measure spec chain in
-              (* Persist whatever was measured, even on failure: those
-                 simulations are valid warm-start material either way. *)
+            let mcache =
+              Option.map
+                (fun path ->
+                  let c = Mcf_search.Measure.cache_create () in
+                  ignore
+                    (Mcf_util.Shardmap.load
+                       ~decode:Mcf_search.Measure.time_of_json c path);
+                  (c, path))
+                measure_cache
+            in
+            let measure =
+              if mcache = None && measure_jobs <> 1 then None
+              else
+                Some
+                  (Mcf_search.Measure.create
+                     ?cache:(Option.map fst mcache)
+                     ~sequential:(measure_jobs = 1) spec)
+            in
+            let hits0 = Mcf_obs.Metrics.counter_value "measure.cache.hits" in
+            let miss0 = Mcf_obs.Metrics.counter_value "measure.cache.misses" in
+            let result =
+              match cache with
+              | None ->
+                Result.map
+                  (fun o ->
+                    (Some o, Mcf_search.Schedule_cache.sched_of_outcome o))
+                  (Mcf_search.Tuner.tune ?reservoir ?measure spec chain)
+              | Some cache_file ->
+                Mcf_search.Schedule_cache.tune_with_cache ~cache_file
+                  ?reservoir ?measure spec chain
+            in
+            (* Persist whatever was measured, even on failure: those
+               simulations are valid warm-start material either way. *)
+            Option.iter
+              (fun (c, path) ->
+                ignore
+                  (Mcf_util.Shardmap.save
+                     ~encode:Mcf_search.Measure.time_fields c path))
+              mcache;
+            match result with
+            | Error Mcf_search.Tuner.No_viable_candidate ->
+              Error (`Msg "no viable candidate: the chain cannot be fused here")
+            | Ok (None, s) ->
+              Printf.printf "%s: %s at %s (cache hit)\n" workload
+                s.Mcf_search.Schedule_cache.cand
+                (Mcf_util.Table.fmt_time_s s.time_s);
+              Ok ()
+            | Ok (Some o, _) ->
+              Printf.printf "workload  %s on %s\n" workload spec.name;
+              Printf.printf "best      %s\n"
+                (Mcf_ir.Candidate.to_string o.best.cand);
+              Printf.printf "kernel    %s\n"
+                (Mcf_util.Table.fmt_time_s o.kernel_time_s);
+              Printf.printf "tuning    %s virtual (%.2fs wall), %d measured, \
+                             %d generations\n"
+                (Mcf_util.Table.fmt_time_s o.tuning_virtual_s)
+                o.tuning_wall_s o.search_stats.measured
+                o.search_stats.generations;
+              Printf.printf "phases    %s\n" (phase_breakdown o);
               Option.iter
                 (fun (c, path) ->
-                  ignore (Mcf_search.Measure.cache_save c path))
+                  Printf.printf
+                    "mcache    %s: %d entries (%d hits, %d misses this run)\n"
+                    path
+                    (Mcf_util.Shardmap.length c)
+                    (Mcf_obs.Metrics.counter_value "measure.cache.hits"
+                    - hits0)
+                    (Mcf_obs.Metrics.counter_value "measure.cache.misses"
+                    - miss0))
                 mcache;
-              match result with
-              | Error Mcf_search.Tuner.No_viable_candidate ->
-                Error (`Msg "no viable candidate: the chain cannot be fused here")
-              | Ok o ->
-                Printf.printf "workload  %s on %s\n" workload spec.name;
-                Printf.printf "best      %s\n"
-                  (Mcf_ir.Candidate.to_string o.best.cand);
-                Printf.printf "kernel    %s\n"
-                  (Mcf_util.Table.fmt_time_s o.kernel_time_s);
-                Printf.printf "tuning    %s virtual (%.2fs wall), %d measured, \
-                               %d generations\n"
-                  (Mcf_util.Table.fmt_time_s o.tuning_virtual_s)
-                  o.tuning_wall_s o.search_stats.measured
-                  o.search_stats.generations;
-                Printf.printf "phases    %s\n" (phase_breakdown o);
-                Option.iter
-                  (fun (c, path) ->
-                    Printf.printf
-                      "mcache    %s: %d entries (%d hits, %d misses this \
-                       run)\n"
-                      path
-                      (Mcf_search.Measure.cache_size c)
-                      (Mcf_obs.Metrics.counter_value "measure.cache.hits"
-                      - hits0)
-                      (Mcf_obs.Metrics.counter_value "measure.cache.misses"
-                      - miss0))
-                  mcache;
-                Printf.printf "space     %d candidates after pruning (raw %.3g)\n\n"
-                  o.funnel.candidates_valid o.funnel.candidates_raw;
-                print_string (Mcf_search.Tuner.pseudo_code o);
-                Ok ())))
+              Option.iter
+                (fun path -> Printf.printf "cache     %s: tuned and cached\n" path)
+                cache;
+              Printf.printf "space     %d candidates after pruning (raw %.3g)\n\n"
+                o.funnel.candidates_valid o.funnel.candidates_raw;
+              print_string (Mcf_search.Tuner.pseudo_code o);
+              Ok ()))
   in
   let term =
     Term.(term_result (const run $ setup_term $ obs_term $ cache_arg
@@ -1405,7 +1414,8 @@ let serve_cmd =
   let schedule_cache_arg =
     let doc =
       "Schedule-cache file (JSONL): warm-start served schedules from \
-       $(docv) and persist the cache back on graceful shutdown."
+       $(docv) and persist the cache back on graceful shutdown.  The \
+       file is shared with $(b,tune --cache)."
     in
     Arg.(value & opt (some string) None
          & info [ "schedule-cache" ] ~docv:"FILE" ~doc)

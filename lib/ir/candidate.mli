@@ -37,8 +37,8 @@ val key : t -> string
 
 val serialize : t -> string
 (** One-line machine format, e.g. ["deep:m,h,n,k;h=32,k=16,m=64,n=32"] —
-    the candidate field of [Mcf_search.Schedule_cache] lines and the
-    tiling component of measurement-cache keys.  The format is stable:
+    the ["candidate"] field of schedule-cache entries and the tiling
+    component of measurement-cache keys.  The format is stable:
     cache files on disk depend on it. *)
 
 val equal : t -> t -> bool

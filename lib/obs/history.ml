@@ -5,7 +5,7 @@ module Json = Mcf_util.Json
    The store is append-only JSONL: one self-describing object per line,
    so concurrent bench runs can append without coordination and a
    truncated tail costs exactly the damaged lines (count-and-skip on
-   load, like Schedule_cache).  All analysis — trends, robust baseline,
+   load via Json.fold_jsonl, like the persisted caches).  All analysis — trends, robust baseline,
    the regression gate — happens at read time over the full file. *)
 
 type entry = {

@@ -15,10 +15,8 @@ let h_measure_s = Mcf_obs.Metrics.histogram "explore.measure_s"
 
 type cache = float option Mcf_util.Shardmap.t
 
-let cache_create ?(shards = 16) ?(capacity_per_shard = 65536) () : cache =
-  Mcf_util.Shardmap.create ~shards ~capacity_per_shard ()
-
-let cache_size = Mcf_util.Shardmap.length
+let cache_create () : cache =
+  Mcf_util.Shardmap.create ~capacity_per_shard:65536 ()
 
 let chain_fp chain =
   Printf.sprintf "%Lx"
@@ -39,48 +37,16 @@ let key_with ~spec_fp ~chain_fp (ctx : Space.ctx) cand =
   Printf.sprintf "%s|%s|r1=%b,dle=%b,h=%b,eb=%d|%s" spec_fp chain_fp ctx.rule1
     ctx.dead_loop_elim ctx.hoisting ctx.elem_bytes (candidate_fp ctx cand)
 
-(* --- persistence (JSONL) ----------------------------------------------- *)
+(* --- persistence codec ------------------------------------------------- *)
 
-let entry_to_line key v =
-  let open Mcf_util.Json in
-  to_string
-    (Obj
-       [ ("key", Str key);
-         ("time_s", match v with Some t -> Num t | None -> Null) ])
+let time_fields v =
+  [ ("time_s", match v with Some t -> Mcf_util.Json.Num t | None -> Null) ]
 
-let entry_of_json j =
-  let open Mcf_util.Json in
-  match (member "key" j, member "time_s" j) with
-  | Some (Str k), Some (Num t) -> Some (k, Some t)
-  | Some (Str k), Some Null -> Some (k, None)
+let time_of_json j =
+  match Mcf_util.Json.member "time_s" j with
+  | Some (Num t) -> Some (Some t)
+  | Some Null -> Some None
   | _ -> None
-
-let cache_save (cache : cache) path =
-  let entries = Mcf_util.Shardmap.fold cache (fun k v acc -> (k, v) :: acc) [] in
-  (* Sort for a deterministic file: shard iteration order is not. *)
-  let entries =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) entries
-  in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      List.iter
-        (fun (k, v) ->
-          output_string oc (entry_to_line k v);
-          output_char oc '\n')
-        entries);
-  Sys.rename tmp path;
-  List.length entries
-
-let cache_load (cache : cache) path =
-  Mcf_util.Json.fold_jsonl ~path ~init:0 ~f:(fun loaded j ->
-      match entry_of_json j with
-      | Some (k, v) ->
-        Mcf_util.Shardmap.set cache k v;
-        Some (loaded + 1)
-      | None -> None)
 
 (* --- engine ------------------------------------------------------------ *)
 

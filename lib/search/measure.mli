@@ -30,27 +30,24 @@
     dedup so two domains never simulate the same key concurrently. *)
 
 val log_src : Logs.src
-(** Log source ["mcfuser.measure"] (cache load/save diagnostics). *)
+(** Log source ["mcfuser.measure"]. *)
 
 (** {1 Measurement cache} *)
 
-type cache
+type cache = float option Mcf_util.Shardmap.t
+(** Content-addressed measured kernel times; [None] records a cached
+    compile/launch failure. *)
 
-val cache_create : ?shards:int -> ?capacity_per_shard:int -> unit -> cache
-(** Defaults: 16 shards, 65536 entries per shard (LRU beyond that). *)
+val cache_create : unit -> cache
+(** 16 shards of 65536 entries each (LRU beyond that). *)
 
-val cache_size : cache -> int
-(** Completed measurements currently resident. *)
+val time_fields : float option -> (string * Mcf_util.Json.t) list
+(** The cache's line codec for {!Mcf_util.Shardmap.save}:
+    [{"key": ..., "time_s": float|null}].  Floats round-trip exactly, so
+    a warm-started run reproduces cached times bit-for-bit. *)
 
-val cache_save : cache -> string -> int
-(** Persist to a JSONL file ([{"key": ..., "time_s": float|null}] per
-    line, sorted by key, written atomically via rename); returns the
-    number of lines.  Floats round-trip exactly, so a warm-started run
-    reproduces cached times bit-for-bit. *)
-
-val cache_load : cache -> string -> int * int
-(** Warm-start from a JSONL file: [(loaded, malformed)].  Malformed
-    lines are counted, logged and skipped; a missing file is [(0, 0)]. *)
+val time_of_json : Mcf_util.Json.t -> float option option
+(** Inverse of {!time_fields}, for {!Mcf_util.Shardmap.load}. *)
 
 (** {1 Engine} *)
 

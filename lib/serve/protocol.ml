@@ -11,15 +11,6 @@ type tune_request = {
   reservoir : int option;
 }
 
-type sched = {
-  cand : string;
-  time_s : float;
-  virtual_s : float;
-  estimated : int;
-  measured : int;
-  generations : int;
-}
-
 (* --- workload resolution ---------------------------------------------- *)
 
 let chain_of_workload name =
@@ -184,58 +175,3 @@ let parse_tune_request body =
           | Ok seed, Ok reservoir ->
             Ok { workload; chain; spec; seed; reservoir }))))
   | Ok _ -> Error "request body must be a JSON object"
-
-(* --- coalescing key ---------------------------------------------------- *)
-
-(* The chain fingerprint covers the chain name (which the tuner's default
-   seed derives from), every axis and every tensor; the spec fingerprint
-   covers every device field.  Two requests with equal keys therefore run
-   the exact same deterministic tuning session. *)
-let key (r : tune_request) =
-  let fp s = Printf.sprintf "%Lx" (Mcf_util.Hashing.fnv1a64 s) in
-  Printf.sprintf "%s|%s|%s|seed=%s|res=%s" r.spec.name
-    (fp (Mcf_gpu.Spec.fingerprint r.spec))
-    (Mcf_search.Measure.chain_fp r.chain)
-    (match r.seed with Some s -> string_of_int s | None -> "auto")
-    (match r.reservoir with Some n -> string_of_int n | None -> "none")
-
-(* --- sched JSON -------------------------------------------------------- *)
-
-let sched_json (s : sched) =
-  Json.Obj
-    [ ("candidate", Json.Str s.cand);
-      ("kernel_time_s", Json.Num s.time_s);
-      ("tuning_virtual_s", Json.Num s.virtual_s);
-      ("estimated", Json.num_of_int s.estimated);
-      ("measured", Json.num_of_int s.measured);
-      ("generations", Json.num_of_int s.generations);
-    ]
-
-let sched_of_json j =
-  match
-    ( Json.member "candidate" j,
-      Json.member "kernel_time_s" j,
-      Json.member "tuning_virtual_s" j,
-      Json.member "estimated" j,
-      Json.member "measured" j,
-      Json.member "generations" j )
-  with
-  | ( Some (Json.Str cand),
-      Some (Json.Num time_s),
-      Some (Json.Num virtual_s),
-      Some ej,
-      Some mj,
-      Some gj ) -> (
-    match (jint ej, jint mj, jint gj) with
-    | Some estimated, Some measured, Some generations ->
-      Some { cand; time_s; virtual_s; estimated; measured; generations }
-    | _ -> None)
-  | _ -> None
-
-let sched_of_outcome (o : Mcf_search.Tuner.outcome) =
-  { cand = Mcf_ir.Candidate.serialize o.best.cand;
-    time_s = o.kernel_time_s;
-    virtual_s = o.tuning_virtual_s;
-    estimated = o.search_stats.estimated;
-    measured = o.search_stats.measured;
-    generations = o.search_stats.generations }

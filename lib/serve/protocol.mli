@@ -1,5 +1,6 @@
-(** Wire format of the tuning service: request parsing, the served
-    schedule record, and the coalescing-key derivation.
+(** Wire format of the tuning service: request parsing.  The served
+    schedule record and the coalescing/cache key live in
+    {!Mcf_search.Schedule_cache}.
 
     A [POST /tune] body is one JSON object:
 
@@ -24,32 +25,9 @@ type tune_request = {
   reservoir : int option;
 }
 
-(** The served result of one tuning session — everything a client needs
-    to deploy the schedule plus the session's funnel accounting.  This
-    is also the schedule cache's value type, so a cache hit replays the
-    original session's answer bit-for-bit. *)
-type sched = {
-  cand : string;  (** {!Mcf_ir.Candidate.serialize} spelling. *)
-  time_s : float;  (** Measured (simulated) kernel time. *)
-  virtual_s : float;  (** Tuning cost on the virtual clock. *)
-  estimated : int;
-  measured : int;
-  generations : int;
-}
-
 val chain_of_workload : string -> (Mcf_ir.Chain.t, string) result
 (** Resolve a built-in workload name (G1-G12, S1-S9, D5-D8, network
     names, mha aliases) — the serve-side twin of the CLI's resolver. *)
 
 val parse_tune_request : string -> (tune_request, string) result
 (** Parse a [POST /tune] body.  All errors are client errors (400). *)
-
-val key : tune_request -> string
-(** Coalescing/cache key: device name + spec fingerprint hash + chain
-    fingerprint hash + seed + reservoir.  Requests with equal keys are
-    guaranteed to produce bit-identical schedules, so they share one
-    tuner session (in-flight) or one cache entry (completed). *)
-
-val sched_json : sched -> Mcf_util.Json.t
-val sched_of_json : Mcf_util.Json.t -> sched option
-val sched_of_outcome : Mcf_search.Tuner.outcome -> sched

@@ -2,6 +2,8 @@ module Json = Mcf_util.Json
 module Httpd = Mcf_util.Httpd
 module Shardmap = Mcf_util.Shardmap
 module Metrics = Mcf_obs.Metrics
+module Measure = Mcf_search.Measure
+module Schedule_cache = Mcf_search.Schedule_cache
 
 (* The tuning-as-a-service daemon.  See server.mli for the contract.
 
@@ -33,8 +35,6 @@ type config = {
   max_connections : int;
   read_timeout_s : float;
   max_body_bytes : int;
-  cache_shards : int;
-  cache_capacity : int;
   schedule_cache_file : string option;
   measure_cache_file : string option;
 }
@@ -46,8 +46,6 @@ let default_config =
     max_connections = 16;
     read_timeout_s = 5.0;
     max_body_bytes = 1024 * 1024;
-    cache_shards = 16;
-    cache_capacity = 65536;
     schedule_cache_file = None;
     measure_cache_file = None }
 
@@ -61,7 +59,7 @@ let source_string = function
 type job_status =
   | Queued
   | Running
-  | Done of Protocol.sched
+  | Done of Schedule_cache.sched
   | Failed of string
 
 type job = {
@@ -97,8 +95,8 @@ type t = {
   mutable next_id : int;
   mutable state : lifecycle;
   mutable worker_threads : Thread.t list;
-  cache : Protocol.sched Shardmap.t;
-  measure_cache : Mcf_search.Measure.cache;
+  cache : Schedule_cache.sched Shardmap.t;
+  measure_cache : Measure.cache;
   mutable httpd : Httpd.t option;
   shutdown_requested : bool Atomic.t;
   stop_started : bool Atomic.t;
@@ -114,42 +112,6 @@ let view_of_job (j : job) =
     vdevice = j.jdevice;
     vsource = j.jsource;
     vstatus = j.jstatus }
-
-(* --- schedule-cache persistence ---------------------------------------- *)
-
-let cache_entry_json key (s : Protocol.sched) =
-  match Protocol.sched_json s with
-  | Json.Obj kvs -> Json.Obj (("key", Json.Str key) :: kvs)
-  | j -> j
-
-let persist_cache t path =
-  let entries = Shardmap.fold t.cache (fun k v acc -> (k, v) :: acc) [] in
-  let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  List.iter
-    (fun (k, v) ->
-      output_string oc (Json.to_string (cache_entry_json k v));
-      output_char oc '\n')
-    entries;
-  close_out oc;
-  Sys.rename tmp path;
-  List.length entries
-
-let load_cache t path =
-  let loaded, malformed =
-    Json.fold_jsonl ~path ~init:0 ~f:(fun n j ->
-        match (Json.member "key" j, Protocol.sched_of_json j) with
-        | Some (Json.Str key), Some sched ->
-          Shardmap.set t.cache key sched;
-          Some (n + 1)
-        | _ -> None)
-  in
-  if loaded > 0 || malformed > 0 then
-    Log.info (fun m ->
-        m "schedule cache warm-start: %d entries from %s (%d malformed)"
-          loaded path malformed);
-  loaded
 
 (* --- job completion ---------------------------------------------------- *)
 
@@ -181,8 +143,7 @@ let rec worker_loop t () =
     List.iter (fun j -> j.jstatus <- Running) (session_jobs t sess);
     Mutex.unlock t.lock;
     let measure =
-      Mcf_search.Measure.create ~cache:t.measure_cache
-        sess.Session.sreq.Protocol.spec
+      Measure.create ~cache:t.measure_cache sess.Session.sreq.Protocol.spec
     in
     let result = Session.run ~measure sess in
     Mutex.lock t.lock;
@@ -203,7 +164,10 @@ let rec worker_loop t () =
 (* --- submission --------------------------------------------------------- *)
 
 let submit t (req : Protocol.tune_request) =
-  let key = Protocol.key req in
+  let key =
+    Schedule_cache.key ?seed:req.seed ?reservoir:req.reservoir req.spec
+      req.chain
+  in
   Mutex.lock t.lock;
   if t.state <> Serving then begin
     Mutex.unlock t.lock;
@@ -324,16 +288,15 @@ let stop t =
     Mutex.lock t.lock;
     t.state <- Stopped;
     Mutex.unlock t.lock;
-    (match t.cfg.schedule_cache_file with
-    | Some path ->
-      let n = persist_cache t path in
-      Log.info (fun m -> m "persisted %d schedule cache entries to %s" n path)
-    | None -> ());
-    match t.cfg.measure_cache_file with
-    | Some path ->
-      let n = Mcf_search.Measure.cache_save t.measure_cache path in
-      Log.info (fun m -> m "persisted %d measurements to %s" n path)
-    | None -> ()
+    let persist what map ~encode =
+      Option.iter (fun path ->
+          let n = Shardmap.save ~encode map path in
+          Log.info (fun m -> m "persisted %d %s entries to %s" n what path))
+    in
+    persist "schedule cache" t.cache ~encode:Schedule_cache.sched_fields
+      t.cfg.schedule_cache_file;
+    persist "measure cache" t.measure_cache ~encode:Measure.time_fields
+      t.cfg.measure_cache_file
   end
 
 (* --- HTTP surface -------------------------------------------------------- *)
@@ -343,7 +306,8 @@ let job_json t (v : job_view) =
     match v.vstatus with
     | Queued -> ("queued", [])
     | Running -> ("running", [])
-    | Done s -> ("done", [ ("result", Protocol.sched_json s) ])
+    | Done s ->
+      ("done", [ ("result", Json.Obj (Schedule_cache.sched_fields s)) ])
     | Failed msg -> ("failed", [ ("error", Json.Str msg) ])
   in
   ignore t;
@@ -481,26 +445,24 @@ let start ?(config = default_config) () =
       next_id = 0;
       state = Serving;
       worker_threads = [];
-      cache =
-        Shardmap.create ~shards:cfg.cache_shards
-          ~capacity_per_shard:cfg.cache_capacity ();
-      measure_cache = Mcf_search.Measure.cache_create ();
+      cache = Shardmap.create ~capacity_per_shard:65536 ();
+      measure_cache = Measure.cache_create ();
       httpd = None;
       shutdown_requested = Atomic.make false;
       stop_started = Atomic.make false }
   in
-  (match cfg.schedule_cache_file with
-  | Some path when Sys.file_exists path -> ignore (load_cache t path)
-  | _ -> ());
-  (match cfg.measure_cache_file with
-  | Some path when Sys.file_exists path ->
-    let loaded, malformed =
-      Mcf_search.Measure.cache_load t.measure_cache path
-    in
-    Log.info (fun m ->
-        m "measure cache warm-start: %d entries from %s (%d malformed)" loaded
-          path malformed)
-  | _ -> ());
+  let warm_start what map ~decode =
+    Option.iter (fun path ->
+        let loaded, malformed = Shardmap.load ~decode map path in
+        if loaded > 0 || malformed > 0 then
+          Log.info (fun m ->
+              m "%s warm-start: %d entries from %s (%d malformed)" what loaded
+                path malformed))
+  in
+  warm_start "schedule cache" t.cache ~decode:Schedule_cache.sched_of_json
+    cfg.schedule_cache_file;
+  warm_start "measure cache" t.measure_cache ~decode:Measure.time_of_json
+    cfg.measure_cache_file;
   match
     Httpd.start ~max_connections:cfg.max_connections
       ~read_timeout_s:cfg.read_timeout_s ~max_body_bytes:cfg.max_body_bytes

@@ -15,10 +15,12 @@
     - [GET /status] — the telemetry status document extended with a
       ["serve"] section (lifecycle, queue depth, cache size).
 
-    Requests whose {!Protocol.key} matches an in-flight session attach
-    to it (coalescing: one tuner run, N answers); completed keys are
-    served from a {!Mcf_util.Shardmap}-backed schedule cache with
-    per-shard LRU eviction, warm-started from and persisted to JSONL.
+    Requests whose {!Mcf_search.Schedule_cache.key} matches an in-flight
+    session attach to it (coalescing: one tuner run, N answers);
+    completed keys are served from a {!Mcf_util.Shardmap}-backed
+    schedule cache (16 shards x 65536 entries, LRU beyond that),
+    warm-started from and persisted to the same JSONL file format
+    [mcfuser tune --cache] uses.
     All sessions share one content-addressed measurement cache, which
     never changes results — a served schedule is bit-identical to a
     one-shot [Tuner.tune] of the same request.
@@ -34,8 +36,6 @@ type config = {
   max_connections : int;
   read_timeout_s : float;
   max_body_bytes : int;
-  cache_shards : int;
-  cache_capacity : int;  (** Per-shard completed-entry LRU bound. *)
   schedule_cache_file : string option;
       (** Warm-start source and graceful-shutdown sink (JSONL). *)
   measure_cache_file : string option;
@@ -44,7 +44,7 @@ type config = {
 
 val default_config : config
 (** 127.0.0.1:0, 2 workers, 16 connections, 5s read timeout, 1 MiB
-    bodies, 16×65536 cache, no persistence. *)
+    bodies, no persistence. *)
 
 type source = Tuned | Cached | Coalesced
 
@@ -53,7 +53,7 @@ val source_string : source -> string
 type job_status =
   | Queued
   | Running
-  | Done of Protocol.sched
+  | Done of Mcf_search.Schedule_cache.sched
   | Failed of string
 
 type job_view = {

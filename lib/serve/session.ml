@@ -1,12 +1,12 @@
 (* One tuning session: the unit of coalescing.  All jobs whose request
-   derives the same Protocol.key attach to one session, which runs
+   derives the same Schedule_cache.key attach to one session, which runs
    Tuner.tune exactly once.  State transitions are guarded by the owning
    server's lock; [run] itself executes outside it. *)
 
 type state =
   | Queued
   | Running
-  | Done of Protocol.sched
+  | Done of Mcf_search.Schedule_cache.sched
   | Failed of string
 
 type t = {
@@ -26,7 +26,7 @@ let run ?measure t =
     Mcf_search.Tuner.tune ?seed:req.seed ?reservoir:req.reservoir ?measure
       req.spec req.chain
   with
-  | Ok o -> Ok (Protocol.sched_of_outcome o)
+  | Ok o -> Ok (Mcf_search.Schedule_cache.sched_of_outcome o)
   | Error Mcf_search.Tuner.No_viable_candidate ->
     Error
       (Printf.sprintf "no viable candidate for %s on %s" req.workload

@@ -188,7 +188,7 @@ let with_pool ~jobs f =
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 (* Below this many items the chunking/wakeup overhead outweighs any
-   parallel speedup; matches the old Parallel.map threshold. *)
+   parallel speedup. *)
 let min_items = 32
 
 let run_range ?(min_chunk_work = min_items) t n body =

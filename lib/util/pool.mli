@@ -1,9 +1,10 @@
 (** Persistent work-stealing domain pool.
 
-    {!Parallel.map} used to spawn (and join) fresh domains on every call,
-    which puts domain startup on the tuner's hot path: a single
-    [Tuner.tune] run calls into the parallel layer hundreds of times.  A
-    pool spawns its worker domains once and reuses them for every job.
+    Spawning (and joining) fresh domains on every parallel call would
+    put domain startup on the tuner's hot path: a single [Tuner.tune]
+    run calls into the parallel layer hundreds of times.  A pool spawns
+    its worker domains once and reuses them for every job.  This is the
+    one parallel API of the repository.
 
     Scheduling is chunked and dynamic: each job is split into contiguous
     index ranges (a few per domain), the ranges are dealt to per-domain

@@ -186,3 +186,35 @@ let fold t f acc =
       in
       List.fold_left (fun acc (k, v) -> f k v acc) acc pairs)
     acc t.shards
+
+(* --- persistence (JSONL) ----------------------------------------------- *)
+
+let save ~encode t path =
+  let entries =
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (fold t (fun k v acc -> (k, v) :: acc) [])
+  in
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      List.iter
+        (fun (k, v) ->
+          output_string oc
+            (Json.to_string (Json.Obj (("key", Json.Str k) :: encode v)));
+          output_char oc '\n')
+        entries;
+      (* An explicit close surfaces a failed flush before the rename. *)
+      close_out oc);
+  Sys.rename tmp path;
+  List.length entries
+
+let load ~decode t path =
+  Json.fold_jsonl ~path ~init:0 ~f:(fun n j ->
+      match (Json.member "key" j, decode j) with
+      | Some (Json.Str k), Some v ->
+        set t k v;
+        Some (n + 1)
+      | _ -> None)

@@ -4,8 +4,8 @@
     Keys are distributed over N independent shards (own mutex, hashtable
     and LRU list each), so lookups on different shards never contend —
     the multi-tenant backing store for content-addressed caches shared
-    across pool domains ({!Mcf_search} measurement cache, the planned
-    [mcfuser serve] schedule cache).
+    across pool domains (the {!Mcf_search} measurement and schedule
+    caches, the latter also behind [mcfuser serve]).
 
     {!find_or_compute} guarantees a key's thunk runs at most once at a
     time process-wide: the first caller installs a pending placeholder
@@ -48,3 +48,21 @@ val length : 'a t -> int
 val fold : 'a t -> (string -> 'a -> 'acc -> 'acc) -> 'acc -> 'acc
 (** Fold over a snapshot of completed entries (order unspecified); [f]
     runs outside the shard locks. *)
+
+(** {1 Persistence}
+
+    The one on-disk format of every persisted cache: JSONL, one
+    [{"key": k, ...fields}] object per completed entry.  A file written
+    for one map loads into any other map with the same value codec. *)
+
+val save : encode:('a -> (string * Json.t) list) -> 'a t -> string -> int
+(** Write the completed entries, sorted by key (shard order is not
+    deterministic), to a temp file renamed over [path], so readers never
+    see a partial file.  [encode] gives the fields that follow ["key"].
+    Returns the number of lines written. *)
+
+val load : decode:(Json.t -> 'a option) -> 'a t -> string -> int * int
+(** Warm-start from a {!save}d file: [(loaded, malformed)].  [decode]
+    receives the whole line object; lines without a string ["key"] or
+    rejected by [decode] are counted and skipped ({!Json.fold_jsonl}).
+    A missing file is [(0, 0)]. *)

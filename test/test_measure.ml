@@ -92,7 +92,7 @@ let test_cache_off_cold_warm_identical () =
   Alcotest.(check string) "cold == cache-off" off cold;
   Alcotest.(check int) "cold run only misses" 0 (h1 - h0);
   Alcotest.(check int)
-    "one miss per distinct key" (Measure.cache_size cache) (m1 - m0);
+    "one miss per distinct key" (Shardmap.length cache) (m1 - m0);
   let warm = tune ~measure:(Measure.create ~cache a100) () in
   let h2 = counter "measure.cache.hits" in
   let m2 = counter "measure.cache.misses" in
@@ -107,11 +107,13 @@ let test_warm_start_round_trip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let written = Measure.cache_save cache path in
+      let written = Shardmap.save ~encode:Measure.time_fields cache path in
       Alcotest.(check int)
-        "one line per entry" (Measure.cache_size cache) written;
+        "one line per entry" (Shardmap.length cache) written;
       let fresh = Measure.cache_create () in
-      let loaded, malformed = Measure.cache_load fresh path in
+      let loaded, malformed =
+        Shardmap.load ~decode:Measure.time_of_json fresh path
+      in
       Alcotest.(check int) "all lines load" written loaded;
       Alcotest.(check int) "no malformed lines" 0 malformed;
       let m0 = counter "measure.cache.misses" in
@@ -135,16 +137,19 @@ not json at all
 |};
       close_out oc;
       let cache = Measure.cache_create () in
-      let loaded, malformed = Measure.cache_load cache path in
+      let loaded, malformed =
+        Shardmap.load ~decode:Measure.time_of_json cache path
+      in
       Alcotest.(check int) "two good lines" 2 loaded;
       Alcotest.(check int) "three malformed lines" 3 malformed;
-      Alcotest.(check int) "resident entries" 2 (Measure.cache_size cache))
+      Alcotest.(check int) "resident entries" 2 (Shardmap.length cache))
 
 let test_missing_file_is_empty () =
   let cache = Measure.cache_create () in
   Alcotest.(check (pair int int))
     "missing file loads nothing" (0, 0)
-    (Measure.cache_load cache "/nonexistent/mcf_measure_cache.jsonl")
+    (Shardmap.load ~decode:Measure.time_of_json cache
+       "/nonexistent/mcf_measure_cache.jsonl")
 
 (* --- in-flight dedup --------------------------------------------------------- *)
 
@@ -199,7 +204,7 @@ let test_concurrent_runs_share_cache () =
   Alcotest.(check (list (pair int (option (float 0.0)))))
     "both drains commit identical results" a b;
   Alcotest.(check int)
-    "each key simulated once across domains" (Measure.cache_size cache)
+    "each key simulated once across domains" (Shardmap.length cache)
     (m1 - m0)
 
 (* --- Shardmap ---------------------------------------------------------------- *)
@@ -229,32 +234,6 @@ let test_shardmap_exception_cleanup () =
   Alcotest.(check bool) "recomputes" true (outcome = Shardmap.Computed);
   Alcotest.(check int) "value cached" 7 v
 
-(* --- Schedule_cache legacy format ------------------------------------------- *)
-
-let test_schedule_cache_legacy_fixture () =
-  (* A file written before Candidate.serialize was extracted must still
-     load: the on-disk line format is pinned here by hand. *)
-  let path = Filename.temp_file "mcf_sched" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc
-        "gemm_chain_b1_m256_n128_k64_h64|A100|deep:m,h,n,k;h=16,k=16,m=32,n=32|1.234000000e-06\n";
-      close_out oc;
-      let t = Mcf_search.Schedule_cache.load ~chains:[ small_gemm ] path in
-      Alcotest.(check int) "legacy line loads" 1
-        (Mcf_search.Schedule_cache.size t);
-      match
-        Mcf_search.Schedule_cache.lookup t ~chain:small_gemm ~device:"A100"
-      with
-      | None -> Alcotest.fail "legacy entry not found"
-      | Some e ->
-        Alcotest.(check (float 0.0)) "time round-trips" 1.234e-06 e.etime_s;
-        Alcotest.(check string) "candidate round-trips"
-          "deep:m,h,n,k;h=16,k=16,m=32,n=32"
-          (Mcf_search.Schedule_cache.serialize_candidate e.ecand))
-
 let () =
   Alcotest.run "measure"
     [ ( "bit-identity",
@@ -283,9 +262,5 @@ let () =
         [ Alcotest.test_case "LRU eviction" `Quick test_shardmap_lru_eviction;
           Alcotest.test_case "exception cleanup" `Quick
             test_shardmap_exception_cleanup
-        ] );
-      ( "schedule-cache",
-        [ Alcotest.test_case "legacy on-disk format" `Quick
-            test_schedule_cache_legacy_fixture
         ] )
     ]

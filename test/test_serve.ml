@@ -9,6 +9,7 @@
 
 module Server = Mcf_serve.Server
 module Protocol = Mcf_serve.Protocol
+module Schedule_cache = Mcf_search.Schedule_cache
 module Metrics = Mcf_obs.Metrics
 module Httpd = Mcf_util.Httpd
 module Json = Mcf_util.Json
@@ -42,7 +43,7 @@ let await_done t jid =
   | Some _ -> Alcotest.failf "job %s not terminal after await" jid
   | None -> Alcotest.failf "job %s unknown" jid
 
-let sched_fingerprint (s : Protocol.sched) =
+let sched_fingerprint (s : Schedule_cache.sched) =
   Printf.sprintf "%s|%.17g|%.17g|%d|%d|%d" s.cand s.time_s s.virtual_s
     s.estimated s.measured s.generations
 
@@ -91,31 +92,44 @@ let test_parse_errors () =
   bad "negative seed" {|{"workload":"G1","seed":-3}|};
   bad "negative reservoir" {|{"workload":"G1","reservoir":-1}|}
 
+let key (r : Protocol.tune_request) =
+  Schedule_cache.key ?seed:r.seed ?reservoir:r.reservoir r.spec r.chain
+
 let test_key_derivation () =
-  let k1 = Protocol.key (req ~m:96 ()) in
-  let k1' = Protocol.key (req ~m:96 ()) in
+  let k1 = key (req ~m:96 ()) in
+  let k1' = key (req ~m:96 ()) in
   Alcotest.(check string) "deterministic" k1 k1';
   Alcotest.(check bool) "device leads the key" true
     (String.length k1 > 5 && String.sub k1 0 5 = "A100|");
   let distinct name k other =
     Alcotest.(check bool) (name ^ " changes the key") true (k <> other)
   in
-  distinct "chain" k1 (Protocol.key (req ~m:112 ()));
-  distinct "seed" k1 (Protocol.key (req ~m:96 ~seed:7 ()));
-  distinct "reservoir" k1 (Protocol.key (req ~m:96 ~reservoir:256 ()));
+  distinct "chain" k1 (key (req ~m:112 ()));
+  distinct "seed" k1 (key (req ~m:96 ~seed:7 ()));
+  distinct "reservoir" k1 (key (req ~m:96 ~reservoir:256 ()));
   let rtx = { (req ~m:96 ()) with Protocol.spec = Mcf_gpu.Spec.rtx3080 } in
-  distinct "device" k1 (Protocol.key rtx)
+  distinct "device" k1 (key rtx);
+  (* Pinned bytes: schedule-cache files written by earlier versions must
+     keep hitting. *)
+  match Protocol.chain_of_workload "G1" with
+  | Error e -> Alcotest.fail e
+  | Ok g1 ->
+    Alcotest.(check string) "G1 key bytes"
+      "A100|5df170710433310f|be5475e6fe1b4a1b|seed=auto|res=none"
+      (Schedule_cache.key a100 g1)
 
 let test_sched_json_roundtrip () =
   let s =
-    { Protocol.cand = "deep:m,n;m=16,n=32"; time_s = 4.212e-6;
+    { Schedule_cache.cand = "deep:m,n;m=16,n=32"; time_s = 4.212e-6;
       virtual_s = 23.5; estimated = 493; measured = 32; generations = 7 }
   in
-  match Protocol.sched_of_json (Protocol.sched_json s) with
+  match
+    Schedule_cache.sched_of_json (Json.Obj (Schedule_cache.sched_fields s))
+  with
   | Some s' ->
     Alcotest.(check string) "roundtrip" (sched_fingerprint s)
       (sched_fingerprint s')
-  | None -> Alcotest.fail "sched_json did not round-trip"
+  | None -> Alcotest.fail "sched_fields did not round-trip"
 
 (* --- coalescing -------------------------------------------------------------- *)
 
@@ -177,7 +191,7 @@ let test_served_equals_oneshot () =
           let r = req ~m:(128 + jobs) () in
           let direct =
             match Mcf_search.Tuner.tune r.Protocol.spec r.Protocol.chain with
-            | Ok o -> sched_fingerprint (Protocol.sched_of_outcome o)
+            | Ok o -> sched_fingerprint (Schedule_cache.sched_of_outcome o)
             | Error _ -> Alcotest.fail "one-shot tune failed"
           in
           with_server (fun t ->
@@ -257,6 +271,55 @@ let test_stop_drains_and_persists () =
         (Server.source_string src));
   List.iter Sys.remove (lines sched_file |> fun _ -> [ sched_file; measure_file ]);
   Unix.rmdir dir
+
+let test_tune_cache_file_warm_starts_serve () =
+  (* [tune --cache] and [serve --schedule-cache] share one file format
+     and one key: a file written by [Schedule_cache.tune_with_cache]
+     answers a served G1 from cache with the one-shot schedule, and the
+     daemon's persisted file is a hit for [tune_with_cache] in turn. *)
+  let file = Filename.temp_file "mcf_sched" ".jsonl" in
+  Sys.remove file;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+    (fun () ->
+      let g1 =
+        match Protocol.chain_of_workload "G1" with
+        | Ok c -> c
+        | Error e -> Alcotest.fail e
+      in
+      let oneshot =
+        match Mcf_search.Tuner.tune a100 g1 with
+        | Ok o -> sched_fingerprint (Schedule_cache.sched_of_outcome o)
+        | Error _ -> Alcotest.fail "one-shot tune failed"
+      in
+      (match Schedule_cache.tune_with_cache ~cache_file:file a100 g1 with
+      | Ok (Some _, _) -> ()
+      | Ok (None, _) -> Alcotest.fail "fresh file must miss"
+      | Error _ -> Alcotest.fail "tune_with_cache failed");
+      let other = req ~m:80 () in
+      let served_other =
+        with_server
+          ~config:{ Server.default_config with schedule_cache_file = Some file }
+          (fun t ->
+            let jid, src =
+              submit_ok t
+                { Protocol.workload = "G1"; chain = g1; spec = a100;
+                  seed = None; reservoir = None }
+            in
+            Alcotest.(check string) "served from the tune --cache file"
+              "cached" (Server.source_string src);
+            Alcotest.(check string) "cached == one-shot" oneshot
+              (sched_fingerprint (await_done t jid));
+            await_done t (fst (submit_ok t other)))
+      in
+      match
+        Schedule_cache.tune_with_cache ~cache_file:file a100 other.chain
+      with
+      | Ok (None, s) ->
+        Alcotest.(check string) "served schedule reused"
+          (sched_fingerprint served_other) (sched_fingerprint s)
+      | Ok (Some _, _) -> Alcotest.fail "daemon-persisted entry must hit"
+      | Error _ -> Alcotest.fail "tune_with_cache failed")
 
 (* --- fault injection over the wire -------------------------------------------- *)
 
@@ -386,7 +449,9 @@ let () =
         ] );
       ( "lifecycle",
         [ Alcotest.test_case "stop drains and persists" `Quick
-            test_stop_drains_and_persists
+            test_stop_drains_and_persists;
+          Alcotest.test_case "tune --cache file warm-starts serve" `Quick
+            test_tune_cache_file_warm_starts_serve
         ] );
       ( "http",
         [ Alcotest.test_case "fault injection" `Quick test_http_faults;
